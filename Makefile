@@ -14,7 +14,7 @@ test:
 	$(GO) test ./...
 
 # Data-race check over the concurrent paths: stream/collection, the
-# sharded de-anonymization pipeline (PagesParallel + ParallelStudy), the
+# sharded de-anonymization pipeline (PagesParallel + ShardedIncStudy), the
 # live serving layer (concurrent queries against ingestion), and the
 # transaction front door (quote readers racing the batch applier).
 race:
@@ -23,10 +23,12 @@ race:
 # Multi-core pipeline pass: the view-pipeline differential suite with
 # GOMAXPROCS pinned above 1, so the sharded apply workers, seal
 # barrier, and cross-shard merges are genuinely concurrent even on a
-# single-core default runner. Everything here must be bit-identical to
-# the single-writer fold.
+# single-core default runner; the count-engine tests (ShardedInc,
+# ParallelStudy, Feeder) run their concurrent feeders and shard workers
+# the same way. Everything here must be bit-identical to the
+# single-writer fold.
 race-mp:
-	GOMAXPROCS=4 $(GO) test -race -run 'PipelineWorkersMatchSequentialJSON|ShardPartitionMergeParityJSON|ShardedInc|MergeClonedRepeatable|ViewWorker|Shed|ConcurrentQueries|ParallelBackfillMatchesSequential' ./internal/serve/ ./internal/deanon/ ./internal/analysis/
+	GOMAXPROCS=4 $(GO) test -race -run 'PipelineWorkersMatchSequentialJSON|ShardPartitionMergeParityJSON|ShardedInc|ParallelStudy|Feeder|MergeClonedRepeatable|ViewWorker|Shed|ConcurrentQueries|ParallelBackfillMatchesSequential' ./internal/serve/ ./internal/deanon/ ./internal/analysis/
 
 # Perf trajectory: run the Figure 3 pipeline and store benchmarks with
 # allocation stats and archive them as JSON so future PRs can diff

@@ -170,7 +170,7 @@ func benchFeatures(b *testing.B) []deanon.Features {
 //
 //	baseline    pre-optimization path: hash.Hash + rounding per pair
 //	sequential  zero-alloc Study (inline FNV, features encoded once)
-//	parallel    sharded ParallelStudy, GOMAXPROCS feeders
+//	parallel    sharded ShardedIncStudy, GOMAXPROCS feeders
 //
 // Every variant recomputes the complete study per iteration; the
 // payments/s metric is the domain throughput of one full Figure 3 run.
@@ -224,12 +224,8 @@ func BenchmarkFigure3(b *testing.B) {
 
 	b.Run("parallel", func(b *testing.B) {
 		workers := runtime.GOMAXPROCS(0)
-		shardBits := 0
-		for 1<<shardBits < workers {
-			shardBits++
-		}
 		for i := 0; i < b.N; i++ {
-			study := deanon.NewParallelStudy(deanon.Figure3Rows, shardBits)
+			study := deanon.NewShardedIncStudy(deanon.Figure3Rows, deanon.ShardBitsFor(workers))
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				fd := study.Feeder()

@@ -13,6 +13,9 @@
 // re-measured benchmark names are replaced in place, entries for
 // benchmarks not in this run are kept, and new names append — so one
 // archive can accumulate results from several `go test -bench` passes.
+// Every entry records the package its pkg: header named, so one archive
+// can hold benchmarks from several packages; the context's pkg is kept
+// only while every entry agrees on it.
 // Merging keys on the name with the trailing -GOMAXPROCS suffix
 // stripped (a re-measure on a different core count replaces, not
 // duplicates) while go test's #NN same-name dedup suffix is preserved;
@@ -52,14 +55,18 @@ import (
 
 // Entry is one benchmark result line.
 type Entry struct {
-	Name       string             `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the package the benchmark ran in (the pkg: header above
+	// its result line), when the run printed one.
+	Pkg        string             `json:"pkg,omitempty"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
 // Output is the archived document.
 type Output struct {
-	// Context lines: the goos/goarch/pkg/cpu header go test prints.
+	// Context lines: the goos/goarch/pkg/cpu header go test prints. pkg
+	// is absent when the entries come from more than one package.
 	Context    map[string]string `json:"context,omitempty"`
 	Benchmarks []Entry           `json:"benchmarks"`
 }
@@ -258,7 +265,10 @@ func readExisting(path string) (*Output, error) {
 // dedup suffix stays significant. A previous entry whose dedup root was
 // re-measured under a different dedup suffix set (e.g. a stale
 // "workers=1#01" after the sweep stopped duplicating "workers=1") is
-// dropped rather than kept forever.
+// dropped rather than kept forever. Each entry keeps its own package:
+// an entry archived before per-entry packages takes its archive's
+// context pkg, and the merged context names a pkg only if every entry
+// shares it.
 func merge(prev, fresh *Output) *Output {
 	merged := &Output{Context: map[string]string{}}
 	for k, v := range prev.Context {
@@ -280,6 +290,9 @@ func merge(prev, fresh *Output) *Output {
 		if !freshKeys[key] && freshRoots[dedupRoot(key)] {
 			continue // stale duplicate of a re-measured benchmark
 		}
+		if e.Pkg == "" {
+			e.Pkg = prev.Context["pkg"]
+		}
 		index[key] = len(merged.Benchmarks)
 		merged.Benchmarks = append(merged.Benchmarks, e)
 	}
@@ -292,7 +305,27 @@ func merge(prev, fresh *Output) *Output {
 			merged.Benchmarks = append(merged.Benchmarks, e)
 		}
 	}
+	settlePkg(merged)
 	return merged
+}
+
+// settlePkg sets the context pkg to the one package every entry names,
+// or removes it when the entries span several packages.
+func settlePkg(out *Output) {
+	delete(out.Context, "pkg")
+	pkg := ""
+	for _, e := range out.Benchmarks {
+		switch {
+		case e.Pkg == "" || e.Pkg == pkg:
+		case pkg == "":
+			pkg = e.Pkg
+		default:
+			return
+		}
+	}
+	if pkg != "" {
+		out.Context["pkg"] = pkg
+	}
 }
 
 func parse(sc *bufio.Scanner) (*Output, error) {
@@ -304,6 +337,7 @@ func parse(sc *bufio.Scanner) (*Output, error) {
 		case strings.HasPrefix(line, "Benchmark"):
 			e, ok := parseBenchLine(line)
 			if ok {
+				e.Pkg = out.Context["pkg"]
 				out.Benchmarks = append(out.Benchmarks, e)
 			}
 		case strings.HasPrefix(line, "goos:"),
@@ -331,6 +365,7 @@ func parse(sc *bufio.Scanner) (*Output, error) {
 		}
 	}
 	out.Context["gomaxprocs"] = strconv.Itoa(maxprocs)
+	settlePkg(out)
 	return out, nil
 }
 

@@ -127,6 +127,46 @@ BenchmarkServeLookup-8  1000  42 ns/op
 	}
 }
 
+// TestMergeKeepsEachEntryPackage: merging a run from a second package
+// into an archive must not relabel the first package's entries, and
+// the context pkg must go once the entries span two packages. An entry
+// archived without its own pkg takes its archive's context pkg.
+func TestMergeKeepsEachEntryPackage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	legacy := `{"context":{"pkg":"ripplestudy"},"benchmarks":[{"name":"BenchmarkTable2Replay/sequential","iterations":3,"metrics":{"ns/op":7}}]}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(strings.NewReader(sampleOutput), nil, path); err != nil {
+		t.Fatal(err)
+	}
+	shamap := "pkg: ripplestudy/internal/shamap\nBenchmarkShamapLookup-8  1000  42 ns/op\n"
+	if err := run(strings.NewReader(shamap), nil, path); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := readExisting(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"BenchmarkTable2Replay/sequential": "ripplestudy",
+		"BenchmarkFigure3/parallel-8":      "ripplestudy",
+		"BenchmarkStoreScan-8":             "ripplestudy",
+		"BenchmarkShamapLookup-8":          "ripplestudy/internal/shamap",
+	}
+	if len(merged.Benchmarks) != len(want) {
+		t.Fatalf("merged %d entries, want %d", len(merged.Benchmarks), len(want))
+	}
+	for _, e := range merged.Benchmarks {
+		if e.Pkg != want[e.Name] {
+			t.Errorf("%s: pkg %q, want %q", e.Name, e.Pkg, want[e.Name])
+		}
+	}
+	if pkg, ok := merged.Context["pkg"]; ok {
+		t.Errorf("context pkg %q kept for a two-package archive", pkg)
+	}
+}
+
 // TestOutFileRejectsCorruptExisting refuses to silently clobber a file
 // that is not a benchmark archive.
 func TestOutFileRejectsCorruptExisting(t *testing.T) {

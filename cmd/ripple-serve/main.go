@@ -66,8 +66,7 @@ func main() {
 	queue := flag.Int("queue", 1024, "per-view ingest queue size, in batches")
 	batch := flag.Int("batch", 64, "max updates between view snapshot publishes")
 	ingestBatch := flag.Int("ingest-batch", 0, "pages per ingest fan-out batch on the backfill paths (0 = default)")
-	fpShards := flag.Int("fp-shards", 0, "fingerprint count shards, rounded up to a power of two (1 = single-writer, 0 = cover GOMAXPROCS)")
-	pipeWorkers := flag.Int("pipeline-workers", 0, "apply workers per view pipeline (1 = single-writer views, 0 = GOMAXPROCS)")
+	pipeWorkers := flag.Int("pipeline-workers", 0, "apply workers per view pipeline, also setting the fingerprint count shards (1 = single-writer views, 0 = GOMAXPROCS)")
 	drop := flag.Bool("drop", false, "shed ingest load when a view falls behind instead of applying backpressure")
 	maxInflight := flag.Int("max-inflight", 64, "max concurrent HTTP queries")
 	var tq txqFlags
@@ -80,13 +79,12 @@ func main() {
 	flag.Parse()
 
 	opts := serve.Options{
-		QueueSize:         *queue,
-		PublishBatch:      *batch,
-		IngestBatchPages:  *ingestBatch,
-		FingerprintShards: *fpShards,
-		PipelineWorkers:   *pipeWorkers,
-		NonBlocking:       *drop,
-		MaxConcurrent:     *maxInflight,
+		QueueSize:        *queue,
+		PublishBatch:     *batch,
+		IngestBatchPages: *ingestBatch,
+		PipelineWorkers:  *pipeWorkers,
+		NonBlocking:      *drop,
+		MaxConcurrent:    *maxInflight,
 	}
 	if err := run(*listen, *connect, *storeDir, *period, *workers, *retries, *stall, opts, tq); err != nil {
 		fmt.Fprintln(os.Stderr, "ripple-serve:", err)

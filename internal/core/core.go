@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"sort"
 
@@ -228,23 +227,13 @@ func (ds *Dataset) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// shardBitsFor sizes the fingerprint shard count to the worker count:
-// the next power of two ≥ workers, so every producer can make progress
-// against a worker-private map.
-func shardBitsFor(workers int) int {
-	if workers <= 1 {
-		return 0
-	}
-	return bits.Len(uint(workers - 1))
-}
-
 // feedStudy streams every payment's features into the sharded study.
 // Store-backed datasets take the zero-copy payment projection
 // (ledgerstore.ScanPayments) with one Feeder per scan worker — no page,
 // transaction, or metadata object is ever materialized; in-memory
 // datasets feed sequentially (the shard workers still count
 // concurrently).
-func (ds *Dataset) feedStudy(ctx context.Context, workers int, study *deanon.ParallelStudy) error {
+func (ds *Dataset) feedStudy(ctx context.Context, workers int, study *deanon.ShardedIncStudy) error {
 	if store, ok := ds.source.(*ledgerstore.Store); ok {
 		feeders := make([]*deanon.Feeder, workers)
 		for i := range feeders {
@@ -289,7 +278,7 @@ func (ds *Dataset) Figure3Parallel(ctx context.Context, workers int) ([]deanon.R
 	if workers < 1 {
 		workers = ds.workers()
 	}
-	study := deanon.NewParallelStudy(deanon.Figure3Rows, shardBitsFor(workers))
+	study := deanon.NewShardedIncStudy(deanon.Figure3Rows, deanon.ShardBitsFor(workers))
 	defer study.Close()
 	if err := ds.feedStudy(ctx, workers, study); err != nil {
 		return nil, err
@@ -304,7 +293,7 @@ func (ds *Dataset) FeatureImportance(ctx context.Context, workers int) ([]deanon
 	if workers < 1 {
 		workers = ds.workers()
 	}
-	imp := deanon.NewImportanceStudyParallel(shardBitsFor(workers))
+	imp := deanon.NewImportanceStudyParallel(deanon.ShardBitsFor(workers))
 	defer imp.Close()
 	study := imp.Parallel()
 	if err := ds.feedStudy(ctx, workers, study); err != nil {

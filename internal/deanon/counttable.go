@@ -11,7 +11,7 @@ package deanon
 //     per slot (vs ~17 bytes per entry in a map[Fingerprint]uint32
 //     bucket array, before overflow buckets).
 //
-// Shard routing uses the fingerprint's HIGH bits (ParallelStudy), the
+// Shard routing uses the fingerprint's HIGH bits (ShardedIncStudy), the
 // probe sequence its LOW bits, so the two never interfere.
 //
 // The all-zero fingerprint doubles as the empty-slot marker; its count
@@ -30,6 +30,9 @@ type countTable struct {
 }
 
 const (
+	// countSaturated is the ceiling of the saturating counters: IG only
+	// distinguishes count 0 / 1 / ≥2.
+	countSaturated = 2
 	// countTableMinCap is the initial capacity (power of two).
 	countTableMinCap = 256
 	// countTable grows when used exceeds cap×13/16 (≈81% load).

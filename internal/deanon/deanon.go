@@ -354,7 +354,7 @@ func importanceRows() []Resolution {
 }
 
 // FingerprintStudy is the contract shared by the sequential Study and
-// the sharded ParallelStudy: fold payments in with Observe, then read
+// the sharded ShardedIncStudy: fold payments in with Observe, then read
 // the per-resolution information gain with Results.
 type FingerprintStudy interface {
 	Observe(Features)
@@ -373,17 +373,17 @@ func NewImportanceStudy() *ImportanceStudy {
 	return &ImportanceStudy{study: NewStudy(importanceRows())}
 }
 
-// NewImportanceStudyParallel is NewImportanceStudy backed by a sharded
-// ParallelStudy with 1<<shardBits counting shards. Feed it through
-// Observe (single producer) or by attaching Feeders to Parallel().
+// NewImportanceStudyParallel is NewImportanceStudy backed by a
+// ShardedIncStudy with 1<<shardBits counting shards. Feed it through
+// Observe (single producer) or by registering Feeders on Parallel().
 func NewImportanceStudyParallel(shardBits int) *ImportanceStudy {
-	return &ImportanceStudy{study: NewParallelStudy(importanceRows(), shardBits)}
+	return &ImportanceStudy{study: NewShardedIncStudy(importanceRows(), shardBits)}
 }
 
-// Parallel returns the underlying ParallelStudy when the importance
+// Parallel returns the underlying ShardedIncStudy when the importance
 // study was built with NewImportanceStudyParallel, else nil.
-func (s *ImportanceStudy) Parallel() *ParallelStudy {
-	ps, _ := s.study.(*ParallelStudy)
+func (s *ImportanceStudy) Parallel() *ShardedIncStudy {
+	ps, _ := s.study.(*ShardedIncStudy)
 	return ps
 }
 
@@ -391,7 +391,7 @@ func (s *ImportanceStudy) Parallel() *ParallelStudy {
 func (s *ImportanceStudy) Observe(f Features) { s.study.Observe(f) }
 
 // Close releases a parallel-backed importance study's count tables to
-// the package pool (see ParallelStudy.Close); it is a no-op for the
+// the package pool (see ShardedIncStudy.Close); it is a no-op for the
 // map-backed sequential form. Call after the last Results read.
 func (s *ImportanceStudy) Close() {
 	if ps := s.Parallel(); ps != nil {

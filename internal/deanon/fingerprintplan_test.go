@@ -138,7 +138,7 @@ func TestParallelStudyCloseRecycles(t *testing.T) {
 	wantRows := want.Results()
 
 	for round := 0; round < 3; round++ {
-		par := NewParallelStudy(Figure3Rows, 2)
+		par := NewShardedIncStudy(Figure3Rows, 2)
 		for _, f := range feats {
 			par.Observe(f)
 		}

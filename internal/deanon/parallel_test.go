@@ -120,8 +120,13 @@ func TestParallelStudyDifferential(t *testing.T) {
 		seq.Observe(f)
 	}
 	want := seq.Results()
+	longer := NewStudy(Figure3Rows)
+	for _, f := range append(feats, feats[:500]...) {
+		longer.Observe(f)
+	}
+	wantLonger := longer.Results()
 	for _, shardBits := range []int{0, 1, 3, 6} {
-		par := NewParallelStudy(Figure3Rows, shardBits)
+		par := NewShardedIncStudy(Figure3Rows, shardBits)
 		for _, f := range feats {
 			par.Observe(f)
 		}
@@ -136,6 +141,15 @@ func TestParallelStudyDifferential(t *testing.T) {
 		if again := par.Results(); !reflect.DeepEqual(again, want) {
 			t.Fatalf("shardBits=%d: second Results call diverged", shardBits)
 		}
+		// Results is a barrier, not a finish: observing on after it and
+		// reading again must match the oracle over the longer stream.
+		for _, f := range feats[:500] {
+			par.Observe(f)
+		}
+		if got := par.Results(); !reflect.DeepEqual(got, wantLonger) {
+			t.Fatalf("shardBits=%d: Results after resumed Observe diverged\ngot  %+v\nwant %+v", shardBits, got, wantLonger)
+		}
+		par.Close()
 	}
 }
 
@@ -148,7 +162,8 @@ func TestParallelStudyConcurrentFeeders(t *testing.T) {
 	want := seq.Results()
 
 	const producers = 8
-	par := NewParallelStudy(Figure3Rows, 3)
+	par := NewShardedIncStudy(Figure3Rows, 3)
+	defer par.Close()
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		fd := par.Feeder()
@@ -176,7 +191,8 @@ func TestSaturatingCounterBoundary(t *testing.T) {
 	twice := feat(3, 4, amount.USD, "20", 200)
 	many := feat(5, 6, amount.USD, "30", 300)
 
-	par := NewParallelStudy([]Resolution{res}, 2)
+	par := NewShardedIncStudy([]Resolution{res}, 2)
+	defer par.Close()
 	par.Observe(once)
 	par.Observe(twice)
 	par.Observe(twice)
@@ -192,7 +208,7 @@ func TestSaturatingCounterBoundary(t *testing.T) {
 	if rows[0].Total != 303 {
 		t.Fatalf("total = %d, want 303", rows[0].Total)
 	}
-	if distinct := par.DistinctFingerprints(); distinct[0] != 3 {
+	if distinct := par.Seal().DistinctFingerprints(); distinct[0] != 3 {
 		t.Fatalf("distinct fingerprints = %d, want 3", distinct[0])
 	}
 }
@@ -203,7 +219,8 @@ func TestSaturatingCounterBoundary(t *testing.T) {
 // same high bits), never double-counting across shards.
 func TestShardMergeAcrossShards(t *testing.T) {
 	feats := randomFeatures(2000, 11)
-	par := NewParallelStudy(Figure3Rows, 4) // 16 shards
+	par := NewShardedIncStudy(Figure3Rows, 4) // 16 shards
+	defer par.Close()
 	for _, f := range feats {
 		par.Observe(f)
 		par.Observe(f) // every payment twice: nothing may stay unique
@@ -219,7 +236,7 @@ func TestShardMergeAcrossShards(t *testing.T) {
 	// The shards partition the fingerprint space: summing shard map
 	// sizes must equal the true distinct-fingerprint count — any
 	// double-count across shards would inflate it.
-	parDistinct := par.DistinctFingerprints()
+	parDistinct := par.Seal().DistinctFingerprints()
 	for i, res := range Figure3Rows {
 		distinct := make(map[Fingerprint]struct{})
 		for _, f := range feats {
@@ -235,6 +252,7 @@ func TestImportanceStudyParallelMatchesSequential(t *testing.T) {
 	feats := randomFeatures(3000, 12)
 	seqImp := NewImportanceStudy()
 	parImp := NewImportanceStudyParallel(3)
+	defer parImp.Close()
 	if parImp.Parallel() == nil {
 		t.Fatal("Parallel() accessor returned nil for parallel importance study")
 	}
@@ -251,18 +269,6 @@ func TestImportanceStudyParallelMatchesSequential(t *testing.T) {
 	if got, want := parImp.Results(), seqImp.Results(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("importance rows diverge\ngot  %+v\nwant %+v", got, want)
 	}
-}
-
-func TestFeederAfterResultsPanics(t *testing.T) {
-	par := NewParallelStudy(Figure3Rows, 1)
-	par.Observe(feat(1, 2, amount.USD, "10", 100))
-	par.Results()
-	defer func() {
-		if recover() == nil {
-			t.Error("Feeder after Results should panic")
-		}
-	}()
-	par.Feeder()
 }
 
 // TestIndexHotFingerprint drives one fingerprint past the linear-scan

@@ -1,50 +1,58 @@
 package deanon
 
 import (
-	"runtime"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// ShardedIncStudy is the incrementally-maintained counterpart of Study,
-// built for the live serving layer (internal/serve): payments arrive in
-// batches over the lifetime of a long-running process, and both the
+// ShardedIncStudy is the sharded, incrementally-maintained counterpart
+// of Study and the one engine behind every Figure 3 count outside the
+// Study oracle: the batch pipelines (core.Figure3Parallel, feature
+// importance) read it once through Results, and the live serving layer
+// (internal/serve) publishes epochs from it through Seal, so both the
 // per-resolution information gain and individual sender-uniqueness
-// lookups must be answerable in O(1) at any point — not only after a
-// closing Results pass.
+// lookups are answerable in O(1) at any point of a long-running stream.
 //
-// Counting is sharded exactly like ParallelStudy: the fingerprint space
-// is partitioned into 1<<shardBits shards by the fingerprint's HIGH
-// bits, each shard owned by one worker goroutine with private
-// countTables, so increments need no locks and scale with cores. The
-// producer (one goroutine — the serving layer's fingerprint view
-// worker) routes observations into per-shard batches and hands full
-// batches to the owning worker over a channel.
+// The fingerprint space is partitioned into 1<<shardBits shards by the
+// fingerprint's HIGH bits; each shard is owned by one worker goroutine
+// with private countTables, so increments need no locks and scale with
+// cores. Producers route observations into per-shard batches and hand
+// full batches to the owning worker over a channel. Because the
+// information gain only needs to distinguish "seen once" from "seen
+// more than once", the tables hold saturating uint8 counters in
+// open-addressed slots indexed by the fingerprint's low bits (see
+// counttable.go) instead of Study's uint32 map entries.
 //
-// Seal is the scatter-gather snapshot step: it flushes every pending
-// batch, barriers on the shards that received work since the last seal,
-// deep-copies ONLY those shards' tables (copy-on-publish for changed
-// shards; unchanged shards share their previous immutable clone), and
-// returns an IncSnapshot whose Results and Lookup answers are
-// bit-identical to a single-writer IncStudy — shards partition the
-// fingerprint space, so per-resolution unique counts are plain sums and
-// a lookup probes exactly one shard's table.
+// Observe and ObserveFingerprints are single-producer, like Study's;
+// concurrent producers (a segment-parallel store scan, the serving
+// layer's pipeline workers) each register their own Feeder.
+//
+// Results and Seal barrier first: every registered feeder's buffered
+// batches are flushed and every shard that received work since the last
+// Seal acknowledges it has applied them, so all producers must be
+// quiescent during the call; they may resume afterwards. Results sums
+// the live tables. Seal additionally deep-copies ONLY the changed
+// shards' tables (copy-on-publish; unchanged shards share their
+// previous immutable clone) and returns an IncSnapshot. Shards
+// partition the fingerprint space, so per-resolution unique counts are
+// plain sums and a lookup probes exactly one shard's table; every
+// answer is bit-identical to a Study fed the same payments in any
+// order.
 type ShardedIncStudy struct {
 	resolutions []Resolution
 	plan        *FingerprintPlan
 	shift       uint
 	shards      []*incShard
-	// payments is atomic so concurrent IncFeeder producers can count
-	// observations without a lock and seal-gate heuristics can read the
-	// running total from a coordinator goroutine.
+	// payments is atomic so concurrent feeders can count observations
+	// without a lock and seal-gate heuristics can read the running total
+	// from a coordinator goroutine.
 	payments atomic.Int64
 
-	// pending is the single-producer batch per shard; dirty marks shards
-	// that received observations since the last Seal. dirty is atomic so
-	// multiple IncFeeder producers can mark shards concurrently; it is
-	// read and cleared only at Seal, with every producer quiescent.
-	pending [][]obsEntry
-	dirty   []atomic.Bool
+	// dirty marks shards that received observations since the last Seal.
+	// It is atomic so concurrent feeders can mark shards; it is read and
+	// cleared only at a barrier, with every producer quiescent.
+	dirty []atomic.Bool
 
 	// sealed[sh] is shard sh's tables as of its last dirty Seal —
 	// immutable clones shared with every snapshot taken since.
@@ -53,59 +61,67 @@ type ShardedIncStudy struct {
 	// their first observation.
 	empty *countTable
 
-	batchPool sync.Pool // *[]obsEntry
+	batchPool sync.Pool // *[]obsEntry, recycled after consumption
 	wg        sync.WaitGroup
-	fps       []Fingerprint // Observe scratch
-	closed    bool
 
-	// inline short-circuits the 1-shard configuration: with a single
-	// shard the producer IS the only writer, so observations increment
-	// the tables directly — no batches, no channel hops, no shard
-	// goroutine, no barrier. Results are identical by construction.
+	// mu guards feeders: a feeder may register while earlier ones are
+	// observing; the barrier flushes every registered feeder.
+	mu      sync.Mutex
+	feeders []*Feeder
+	// def is the study's own producer handle behind Observe and
+	// ObserveFingerprints, registered on first use.
+	def    *Feeder
+	fps    []Fingerprint // Observe scratch
+	closed bool
+
+	// inline short-circuits the 1-shard, single-producer configuration:
+	// the producer IS the only writer, so observations increment the
+	// tables directly — no batches, no channel hops, no shard goroutine,
+	// no barrier. Registering a Feeder turns it off for good. Results
+	// are identical by construction.
 	inline bool
 }
 
-// incShard is one worker-owned slice of the fingerprint space.
+// obsEntry routes one fingerprint observation to a shard worker.
+type obsEntry struct {
+	res uint16
+	fp  Fingerprint
+}
+
+// incShard is one worker-owned slice of the fingerprint space. Its
+// channel carries observation batches; a nil batch is a barrier token
+// the worker acknowledges on ack once every prior batch is applied.
 type incShard struct {
-	ch     chan incMsg
+	ch     chan []obsEntry
 	ack    chan struct{}
 	counts []*countTable
 }
 
-// incMsg is one unit of shard work: a batch of observations, or (when
-// entries is nil) a barrier token the worker acknowledges once every
-// prior batch has been applied.
-type incMsg struct {
-	entries []obsEntry
-	sync    bool
+const (
+	// batchEntries is the per-shard producer batch size; one batch is
+	// 16 B × 256 = 4 KiB, small enough to stay cache-resident.
+	batchEntries = 256
+	// maxShardBits bounds the shard count (1024) well past any sensible
+	// core count.
+	maxShardBits = 10
+)
+
+// ShardBitsFor sizes the count-shard fan-out to n concurrent producers:
+// the next power of two ≥ n, as shard bits clamped to [0, 10], so every
+// producer can make progress against a worker-private table.
+func ShardBitsFor(n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return min(bits.Len(uint(n-1)), maxShardBits)
 }
 
-// DefaultShardBits derives a shard count from the machine: the next
-// power of two covering GOMAXPROCS, clamped to [0, maxShardBits].
-func DefaultShardBits() int {
-	n := runtime.GOMAXPROCS(0)
-	bits := 0
-	for 1<<bits < n {
-		bits++
-	}
-	if bits > maxShardBits {
-		bits = maxShardBits
-	}
-	return bits
-}
-
-// NewShardedIncStudy prepares an incremental sharded study over the
-// given resolutions with 1<<shardBits counting shards. shardBits is
-// clamped to [0, 10]; shardBits = 0 is the single-writer baseline the
-// differential tests compare against. Close must be called to stop the
-// shard workers.
+// NewShardedIncStudy prepares a sharded study over the given
+// resolutions with 1<<shardBits counting shards. shardBits is clamped
+// to [0, 10]; ShardBitsFor picks it from a producer count. Close must be
+// called to stop the shard workers and recycle the tables.
 func NewShardedIncStudy(resolutions []Resolution, shardBits int) *ShardedIncStudy {
-	if shardBits < 0 {
-		shardBits = 0
-	}
-	if shardBits > maxShardBits {
-		shardBits = maxShardBits
-	}
+	shardBits = min(max(shardBits, 0), maxShardBits)
 	s := &ShardedIncStudy{
 		resolutions: append([]Resolution(nil), resolutions...),
 		shift:       uint(64 - shardBits),
@@ -115,16 +131,16 @@ func NewShardedIncStudy(resolutions []Resolution, shardBits int) *ShardedIncStud
 	s.plan = NewFingerprintPlan(s.resolutions)
 	s.fps = make([]Fingerprint, 0, len(s.resolutions))
 	n := 1 << shardBits
-	s.pending = make([][]obsEntry, n)
 	s.dirty = make([]atomic.Bool, n)
 	s.sealed = make([][]*countTable, n)
 	for i := 0; i < n; i++ {
-		sh := &incShard{ch: make(chan incMsg, 4), ack: make(chan struct{}, 1)}
+		// A few batches of slack let producers run ahead of a busy
+		// shard instead of blocking on every hand-off.
+		sh := &incShard{ch: make(chan []obsEntry, 4), ack: make(chan struct{}, 1)}
 		for range s.resolutions {
 			sh.counts = append(sh.counts, getCountTable())
 		}
 		s.shards = append(s.shards, sh)
-		s.pending[i] = s.getBatch()
 		// Until the shard's first dirty seal, snapshots share the one
 		// immutable empty table.
 		tables := make([]*countTable, len(s.resolutions))
@@ -132,29 +148,34 @@ func NewShardedIncStudy(resolutions []Resolution, shardBits int) *ShardedIncStud
 			tables[r] = s.empty
 		}
 		s.sealed[i] = tables
-		if !s.inline {
-			s.wg.Add(1)
-			go s.runShard(sh)
-		}
+	}
+	if !s.inline {
+		s.startShards()
 	}
 	return s
+}
+
+// startShards launches one worker goroutine per shard.
+func (s *ShardedIncStudy) startShards() {
+	for _, sh := range s.shards {
+		s.wg.Add(1)
+		go s.runShard(sh)
+	}
 }
 
 // runShard drains one shard's batches into its private count tables and
 // acknowledges barrier tokens.
 func (s *ShardedIncStudy) runShard(sh *incShard) {
 	defer s.wg.Done()
-	for msg := range sh.ch {
-		if msg.entries != nil {
-			for _, e := range msg.entries {
-				sh.counts[e.res].incr(e.fp)
-			}
-			b := msg.entries
-			s.batchPool.Put(&b)
-		}
-		if msg.sync {
+	for batch := range sh.ch {
+		if batch == nil {
 			sh.ack <- struct{}{}
+			continue
 		}
+		for _, e := range batch {
+			sh.counts[e.res].incr(e.fp)
+		}
+		s.batchPool.Put(&batch)
 	}
 }
 
@@ -181,105 +202,6 @@ func (s *ShardedIncStudy) Payments() int { return int(s.payments.Load()) }
 // front door) and feed them back through ObserveFingerprints.
 func (s *ShardedIncStudy) Plan() *FingerprintPlan { return s.plan }
 
-// ObserveFingerprints folds one payment's precomputed fingerprints —
-// one per resolution row, produced by the study's Plan — into the shard
-// counts. Like every mutating method it must only be called from the
-// single producer goroutine.
-func (s *ShardedIncStudy) ObserveFingerprints(fps []Fingerprint) {
-	s.payments.Add(1)
-	if s.inline {
-		// Single shard: the producer is the sole writer — count in place.
-		counts := s.shards[0].counts
-		for i, fp := range fps {
-			counts[i].incr(fp)
-		}
-		s.dirty[0].Store(true)
-		return
-	}
-	for i, fp := range fps {
-		sh := int(uint64(fp) >> s.shift)
-		s.pending[sh] = append(s.pending[sh], obsEntry{res: uint16(i), fp: fp})
-		s.dirty[sh].Store(true)
-		if len(s.pending[sh]) == cap(s.pending[sh]) {
-			s.shards[sh].ch <- incMsg{entries: s.pending[sh]}
-			s.pending[sh] = s.getBatch()
-		}
-	}
-}
-
-// IncFeeder is a per-producer intake for a ShardedIncStudy: each
-// concurrent producer goroutine owns one feeder and routes observations
-// into private per-shard batches, so a counting shard receives one
-// coalesced batch per flush instead of per-record handoffs and the
-// producers never contend on shared batch state. Shard channels are the
-// only cross-producer rendezvous, and Go channels are multi-producer
-// safe; counts are order-insensitive sums, so interleaving batches from
-// different feeders cannot change any sealed result.
-//
-// A feeder is single-goroutine: ObserveFingerprints and Flush must not
-// be called concurrently on the SAME feeder. Flush must be called on
-// every feeder — with all producers quiescent — before the coordinator
-// calls Seal, or buffered observations miss the snapshot.
-type IncFeeder struct {
-	study   *ShardedIncStudy
-	pending [][]obsEntry
-}
-
-// Feeders prepares n concurrent intakes. It must be called before any
-// observation: it permanently switches the study out of the inline
-// single-writer fast path (starting the shard goroutines a 1-shard
-// study otherwise skips), because with multiple producers even one
-// shard needs a channel-owned writer.
-func (s *ShardedIncStudy) Feeders(n int) []*IncFeeder {
-	if s.inline {
-		s.inline = false
-		for _, sh := range s.shards {
-			s.wg.Add(1)
-			go s.runShard(sh)
-		}
-	}
-	out := make([]*IncFeeder, n)
-	for i := range out {
-		f := &IncFeeder{study: s, pending: make([][]obsEntry, len(s.shards))}
-		for sh := range f.pending {
-			f.pending[sh] = s.getBatch()
-		}
-		out[i] = f
-	}
-	return out
-}
-
-// ObserveFingerprints folds one payment's precomputed fingerprints into
-// the feeder's per-shard batches, handing full batches to the owning
-// shard goroutine.
-func (f *IncFeeder) ObserveFingerprints(fps []Fingerprint) {
-	s := f.study
-	s.payments.Add(1)
-	for i, fp := range fps {
-		sh := int(uint64(fp) >> s.shift)
-		f.pending[sh] = append(f.pending[sh], obsEntry{res: uint16(i), fp: fp})
-		if len(f.pending[sh]) == cap(f.pending[sh]) {
-			s.dirty[sh].Store(true)
-			s.shards[sh].ch <- incMsg{entries: f.pending[sh]}
-			f.pending[sh] = s.getBatch()
-		}
-	}
-}
-
-// Flush hands every buffered batch to its shard. The shard is marked
-// dirty before the send so a following Seal barriers on it.
-func (f *IncFeeder) Flush() {
-	s := f.study
-	for sh, buf := range f.pending {
-		if len(buf) == 0 {
-			continue
-		}
-		s.dirty[sh].Store(true)
-		s.shards[sh].ch <- incMsg{entries: buf}
-		f.pending[sh] = s.getBatch()
-	}
-}
-
 // Observe folds one payment in, encoding its features and
 // fingerprinting every resolution through the shared plan.
 func (s *ShardedIncStudy) Observe(f Features) {
@@ -288,29 +210,139 @@ func (s *ShardedIncStudy) Observe(f Features) {
 	s.ObserveFingerprints(s.fps)
 }
 
-// barrier flushes pending batches and waits until every dirty shard has
-// applied them. On return the dirty shards' tables are quiescent and
-// safe for the producer to read until the next Observe.
+// ObserveFingerprints folds one payment's precomputed fingerprints —
+// one per resolution row, produced by the study's Plan — into the shard
+// counts. Like Observe it is single-producer: it must not run
+// concurrently with itself or with Feeder, Results, Seal or Close.
+func (s *ShardedIncStudy) ObserveFingerprints(fps []Fingerprint) {
+	if s.inline {
+		s.payments.Add(1)
+		counts := s.shards[0].counts
+		for i, fp := range fps {
+			counts[i].incr(fp)
+		}
+		s.dirty[0].Store(true)
+		return
+	}
+	if s.def == nil {
+		s.def = s.Feeder()
+	}
+	s.def.ObserveFingerprints(fps)
+}
+
+// Feeder is a per-producer intake: each concurrent producer goroutine
+// owns one and routes observations into private per-shard batches, so a
+// counting shard receives one coalesced batch per flush and producers
+// never contend on shared batch state. Shard channels are the only
+// cross-producer rendezvous, and Go channels are multi-producer safe;
+// counts are order-insensitive sums, so interleaving batches from
+// different feeders cannot change any result. Observe on distinct
+// feeders may run concurrently; on one feeder it must not.
+type Feeder struct {
+	study   *ShardedIncStudy
+	pending [][]obsEntry  // pending batch per shard
+	fps     []Fingerprint // Observe scratch
+}
+
+// Feeder registers a new producer handle, which the study's barrier
+// flushes from then on. It may be called while earlier feeders are
+// observing, but not concurrently with the study's own Observe,
+// Results, Seal or Close. The first registration on a 1-shard study
+// starts its shard goroutine: with several producers even one shard
+// needs a channel-owned writer.
+func (s *ShardedIncStudy) Feeder() *Feeder {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.inline {
+		s.inline = false
+		s.startShards()
+	}
+	fd := &Feeder{
+		study:   s,
+		pending: make([][]obsEntry, len(s.shards)),
+		fps:     make([]Fingerprint, 0, len(s.resolutions)),
+	}
+	for sh := range fd.pending {
+		fd.pending[sh] = s.getBatch()
+	}
+	s.feeders = append(s.feeders, fd)
+	return fd
+}
+
+// Observe folds one payment in through this feeder. The features are
+// encoded once; each resolution reuses the encoding.
+func (fd *Feeder) Observe(f Features) {
+	enc := EncodeFeatures(f)
+	fd.fps = enc.AppendFingerprints(fd.study.plan, fd.fps[:0])
+	fd.ObserveFingerprints(fd.fps)
+}
+
+// ObserveFingerprints folds one payment's precomputed fingerprints into
+// the feeder's per-shard batches, handing full batches to the owning
+// shard goroutine.
+func (fd *Feeder) ObserveFingerprints(fps []Fingerprint) {
+	s := fd.study
+	s.payments.Add(1)
+	for i, fp := range fps {
+		sh := int(uint64(fp) >> s.shift)
+		fd.pending[sh] = append(fd.pending[sh], obsEntry{res: uint16(i), fp: fp})
+		if len(fd.pending[sh]) == cap(fd.pending[sh]) {
+			fd.send(sh)
+		}
+	}
+}
+
+// send hands shard sh's pending batch to its worker. The shard is
+// marked dirty before the send so the next barrier waits on it.
+func (fd *Feeder) send(sh int) {
+	s := fd.study
+	s.dirty[sh].Store(true)
+	s.shards[sh].ch <- fd.pending[sh]
+	fd.pending[sh] = s.getBatch()
+}
+
+// barrier flushes every registered feeder and waits until every dirty
+// shard has applied its batches. On return the tables are quiescent and
+// safe for the coordinator to read until producers resume.
 func (s *ShardedIncStudy) barrier() {
 	if s.inline {
 		return // no worker goroutine; the tables are already quiescent
 	}
-	for sh, buf := range s.pending {
-		if !s.dirty[sh].Load() {
-			continue
+	s.mu.Lock()
+	feeders := s.feeders
+	s.mu.Unlock()
+	for _, fd := range feeders {
+		for sh, buf := range fd.pending {
+			if len(buf) > 0 {
+				fd.send(sh)
+			}
 		}
-		msg := incMsg{sync: true}
-		if len(buf) > 0 {
-			msg.entries = buf
-			s.pending[sh] = s.getBatch()
-		}
-		s.shards[sh].ch <- msg
 	}
-	for sh := range s.shards {
+	for sh, shard := range s.shards {
 		if s.dirty[sh].Load() {
-			<-s.shards[sh].ack
+			shard.ch <- nil
 		}
 	}
+	for sh, shard := range s.shards {
+		if s.dirty[sh].Load() {
+			<-shard.ack
+		}
+	}
+}
+
+// Results computes the IG for every resolution from the live tables —
+// the batch read. It barriers like Seal but clones nothing, so a study
+// read once costs no copy; it may be called repeatedly, and producers
+// may resume after it.
+func (s *ShardedIncStudy) Results() []RowResult {
+	s.barrier()
+	unique := make([]int, len(s.resolutions))
+	for _, sh := range s.shards {
+		for r, t := range sh.counts {
+			unique[r] += t.unique()
+		}
+	}
+	return rowResults(s.resolutions, unique, s.Payments())
 }
 
 // Seal publishes the current counts as an immutable IncSnapshot. Only
@@ -348,8 +380,11 @@ func (s *ShardedIncStudy) Seal() *IncSnapshot {
 }
 
 // Close stops the shard workers and returns the live tables to the
-// package pool. Snapshots stay valid — their tables are independent
-// clones. Close is idempotent; no Observe or Seal may follow it.
+// package pool, so callers that rebuild studies repeatedly (benchmark
+// loops, repeated batch runs) reuse the fully-grown tables instead of
+// re-growing them. Call it after the last Results read; snapshots stay
+// valid, as their tables are independent clones. Close is idempotent;
+// nothing else may follow it.
 func (s *ShardedIncStudy) Close() {
 	if s.closed {
 		return
@@ -371,6 +406,29 @@ func (s *ShardedIncStudy) Close() {
 	}
 }
 
+// ParallelStudy is the engine's former batch-only name, kept for the
+// perfbench harness; new code uses ShardedIncStudy.
+type ParallelStudy = ShardedIncStudy
+
+// NewParallelStudy is NewShardedIncStudy under its former name, kept
+// for the perfbench harness.
+func NewParallelStudy(resolutions []Resolution, shardBits int) *ParallelStudy {
+	return NewShardedIncStudy(resolutions, shardBits)
+}
+
+// rowResults turns per-resolution unique counts into Figure 3 rows.
+func rowResults(resolutions []Resolution, unique []int, payments int) []RowResult {
+	out := make([]RowResult, 0, len(resolutions))
+	for i, res := range resolutions {
+		ig := 0.0
+		if payments > 0 {
+			ig = float64(unique[i]) / float64(payments)
+		}
+		out = append(out, RowResult{Resolution: res, IG: ig, Unique: unique[i], Total: payments})
+	}
+	return out
+}
+
 // IncSnapshot is one sealed, immutable epoch of a ShardedIncStudy: the
 // per-shard count tables plus the derived per-resolution unique counts.
 // It is safe to share across any number of reader goroutines.
@@ -390,18 +448,10 @@ func (s *IncSnapshot) Payments() int { return s.payments }
 func (s *IncSnapshot) Resolutions() []Resolution { return s.resolutions }
 
 // Results returns the information gain for every resolution, O(shards)
-// per row. The rows are bit-identical to a batch Study (and to a
-// single-writer incremental pass) fed the same payments in any order.
+// per row. The rows are bit-identical to a Study fed the same payments
+// in any order.
 func (s *IncSnapshot) Results() []RowResult {
-	out := make([]RowResult, 0, len(s.resolutions))
-	for i, res := range s.resolutions {
-		ig := 0.0
-		if s.payments > 0 {
-			ig = float64(s.unique[i]) / float64(s.payments)
-		}
-		out = append(out, RowResult{Resolution: res, IG: ig, Unique: s.unique[i], Total: s.payments})
-	}
-	return out
+	return rowResults(s.resolutions, s.unique, s.payments)
 }
 
 // Lookup returns how many sealed payments share the observation's

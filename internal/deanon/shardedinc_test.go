@@ -160,23 +160,25 @@ func TestShardedIncUnseenLookups(t *testing.T) {
 
 // TestShardedIncFeedersMatchSingleProducer drives the multi-producer
 // feeder intake from concurrent goroutines — including the 1-shard
-// configuration whose inline fast path Feeders must disable — and pins
-// every sealed answer to the single-producer reference over the same
-// stream. Mid-stream seals interleave with live producers after a
-// quiescent Flush, the serving layer's merge pattern; run under -race.
+// configuration whose inline fast path Feeder must disable — and pins
+// every sealed answer to a Study over the same stream. The seal's
+// barrier flushes every registered feeder, the serving layer's merge
+// pattern; run under -race.
 func TestShardedIncFeedersMatchSingleProducer(t *testing.T) {
 	feats := randomFeatures(4000, 53)
-	ref := NewShardedIncStudy(Figure3Rows, 2)
-	defer ref.Close()
+	want := NewStudy(Figure3Rows)
 	for _, f := range feats {
-		ref.Observe(f)
+		want.Observe(f)
 	}
-	want := ref.Seal()
+	wantRows := want.Results()
 
 	for _, shardBits := range []int{0, 2} {
 		for _, producers := range []int{1, 3} {
 			inc := NewShardedIncStudy(Figure3Rows, shardBits)
-			feeders := inc.Feeders(producers)
+			feeders := make([]*Feeder, producers)
+			for p := range feeders {
+				feeders[p] = inc.Feeder()
+			}
 
 			// Split the stream across producers in contiguous chunks; the
 			// counts are order-insensitive sums so any partition must seal
@@ -184,12 +186,9 @@ func TestShardedIncFeedersMatchSingleProducer(t *testing.T) {
 			var wg sync.WaitGroup
 			per := (len(feats) + producers - 1) / producers
 			for p := 0; p < producers; p++ {
-				lo, hi := p*per, (p+1)*per
-				if hi > len(feats) {
-					hi = len(feats)
-				}
+				lo, hi := p*per, min((p+1)*per, len(feats))
 				wg.Add(1)
-				go func(fd *IncFeeder, chunk []Features) {
+				go func(fd *Feeder, chunk []Features) {
 					defer wg.Done()
 					var fps []Fingerprint
 					for _, f := range chunk {
@@ -200,25 +199,72 @@ func TestShardedIncFeedersMatchSingleProducer(t *testing.T) {
 				}(feeders[p], feats[lo:hi])
 			}
 			wg.Wait()
-			for _, fd := range feeders {
-				fd.Flush()
-			}
 			snap := inc.Seal()
 			if snap.Payments() != want.Payments() {
 				t.Fatalf("bits=%d producers=%d: payments %d != %d", shardBits, producers, snap.Payments(), want.Payments())
 			}
-			if !reflect.DeepEqual(snap.Results(), want.Results()) {
-				t.Fatalf("bits=%d producers=%d: results diverge\ngot  %+v\nwant %+v", shardBits, producers, snap.Results(), want.Results())
+			if !reflect.DeepEqual(snap.Results(), wantRows) {
+				t.Fatalf("bits=%d producers=%d: results diverge\ngot  %+v\nwant %+v", shardBits, producers, snap.Results(), wantRows)
 			}
 			for _, f := range feats[:300] {
-				for row := range Figure3Rows {
-					if a, b := snap.Lookup(row, f), want.Lookup(row, f); a != b {
-						t.Fatalf("bits=%d producers=%d row=%d: lookup %d != %d", shardBits, producers, row, a, b)
+				for row, res := range Figure3Rows {
+					got, ref := snap.Lookup(row, f), min(want.counts[row][FingerprintOf(f, res)], countSaturated)
+					if uint32(got) != ref {
+						t.Fatalf("bits=%d producers=%d row=%d: lookup %d, Study count %d", shardBits, producers, row, got, ref)
 					}
 				}
 			}
 			inc.Close()
 		}
+	}
+}
+
+// TestFeedersRegisterWhileObserving registers each feeder while the
+// earlier ones are already observing from their goroutines — the
+// pattern of BenchmarkFigure3/parallel and the perfbench research run —
+// then reads Results, resumes every feeder, and reads again. Both reads
+// must match a Study over the same prefix. Run under -race.
+func TestFeedersRegisterWhileObserving(t *testing.T) {
+	feats := randomFeatures(6000, 59)
+	half := len(feats) / 2
+	oracle := func(n int) []RowResult {
+		st := NewStudy(Figure3Rows)
+		for _, f := range feats[:n] {
+			st.Observe(f)
+		}
+		return st.Results()
+	}
+	wantHalf, wantAll := oracle(half), oracle(len(feats))
+
+	const producers = 4
+	for _, shardBits := range []int{0, 2} {
+		par := NewShardedIncStudy(Figure3Rows, shardBits)
+		feed := func(lo, hi int) {
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				fd := par.Feeder()
+				wg.Add(1)
+				go func(p int, fd *Feeder) {
+					defer wg.Done()
+					for i := lo + p; i < hi; i += producers {
+						fd.Observe(feats[i])
+					}
+				}(p, fd)
+			}
+			wg.Wait()
+		}
+		feed(0, half)
+		if got := par.Results(); !reflect.DeepEqual(got, wantHalf) {
+			t.Fatalf("shardBits=%d: first half diverges\ngot  %+v\nwant %+v", shardBits, got, wantHalf)
+		}
+		feed(half, len(feats))
+		if got := par.Results(); !reflect.DeepEqual(got, wantAll) {
+			t.Fatalf("shardBits=%d: full stream diverges\ngot  %+v\nwant %+v", shardBits, got, wantAll)
+		}
+		if got := par.Seal().Results(); !reflect.DeepEqual(got, wantAll) {
+			t.Fatalf("shardBits=%d: sealed rows diverge from Results", shardBits)
+		}
+		par.Close()
 	}
 }
 

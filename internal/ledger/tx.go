@@ -110,6 +110,13 @@ type Tx struct {
 // canonical serialization including the signature, as in rippled.
 func (tx *Tx) Hash() Hash { return SHA512Half(tx.Encode(nil)) }
 
+// IsDirectXRP reports whether the payment is a plain XRP transfer: an
+// XRP amount with no SendMax or an XRP SendMax, which the payment
+// engine applies without consulting the pathfinder.
+func (tx *Tx) IsDirectXRP() bool {
+	return tx.Amount.Currency.IsXRP() && (tx.SendMax.IsZero() || tx.SendMax.Currency.IsXRP())
+}
+
 // Sign signs the transaction with kp and records the signature and
 // signing key.
 func (tx *Tx) Sign(kp *addr.KeyPair) {

@@ -5,11 +5,11 @@
 // stores is itself a valid store, and readers verify integrity by
 // re-hashing what they fetch.
 //
-// Three backends cover the study's needs: MemStore for tests and
-// in-process snapshots, FileWriter/FileStore for the append-only batch
-// files a replay checkpoint persists (file.go), and Cache, an LRU layer
-// over any Getter for hot-node reads (cache.go). The flat record framing
-// (AppendRecord/DecodeRecord) is shared by every backend:
+// Two backends cover the study's needs: MemStore for tests and
+// in-process snapshots, and FileWriter/FileStore for the append-only
+// batch files a replay checkpoint persists (file.go), read back through
+// Layered. The flat record framing (AppendRecord/DecodeRecord) is
+// shared by both:
 //
 //	u32 payload length ‖ hash[32] ‖ payload ‖ u32 CRC-32 (hash‖payload)
 //

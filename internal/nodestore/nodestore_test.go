@@ -244,88 +244,6 @@ func TestLayeredAbortsOnRealError(t *testing.T) {
 	}
 }
 
-type countingGetter struct {
-	inner Getter
-	gets  int
-}
-
-func (g *countingGetter) Get(h ledger.Hash) ([]byte, error) {
-	g.gets++
-	return g.inner.Get(h)
-}
-
-func TestCacheLRU(t *testing.T) {
-	mem := NewMem()
-	const n = 6
-	var hashes []ledger.Hash
-	for i := 0; i < n; i++ {
-		h, p := rec(i)
-		if err := mem.Put(h, p); err != nil {
-			t.Fatal(err)
-		}
-		hashes = append(hashes, h)
-	}
-	counted := &countingGetter{inner: mem}
-	c := NewCache(counted, 3)
-
-	// Fill: 0,1,2 cached.
-	for i := 0; i < 3; i++ {
-		if _, err := c.Get(hashes[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counted.gets != 3 || c.Len() != 3 {
-		t.Fatalf("after fill: %d inner gets, cache Len %d", counted.gets, c.Len())
-	}
-	// Hits don't touch the inner store.
-	for i := 0; i < 3; i++ {
-		if _, err := c.Get(hashes[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if counted.gets != 3 {
-		t.Fatalf("cache hit reached inner store (%d gets)", counted.gets)
-	}
-	// Touch 0 (making 1 the LRU), then insert 3 — evicting 1.
-	if _, err := c.Get(hashes[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(hashes[3]); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 3 {
-		t.Fatalf("cache Len = %d, want 3", c.Len())
-	}
-	before := counted.gets
-	if _, err := c.Get(hashes[0]); err != nil { // still cached
-		t.Fatal(err)
-	}
-	if counted.gets != before {
-		t.Fatal("recently used entry was evicted")
-	}
-	if _, err := c.Get(hashes[1]); err != nil { // evicted, refetched
-		t.Fatal(err)
-	}
-	if counted.gets != before+1 {
-		t.Fatalf("LRU entry not evicted (%d gets, want %d)", counted.gets, before+1)
-	}
-	hits, misses := c.Stats()
-	if hits < 4 || misses != int64(counted.gets) {
-		t.Fatalf("Stats = (%d, %d), inner gets %d", hits, misses, counted.gets)
-	}
-
-	// Misses are not negative-cached.
-	missing := ledger.Hash{0xEE}
-	for i := 0; i < 2; i++ {
-		if _, err := c.Get(missing); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("err = %v, want ErrNotFound", err)
-		}
-	}
-	if counted.gets != before+3 {
-		t.Fatalf("miss was cached (%d gets, want %d)", counted.gets, before+3)
-	}
-}
-
 // FuzzNodeDecode feeds arbitrary bytes through the record decoder: it
 // must never panic or over-allocate, and anything it accepts must
 // re-encode to the identical frame.

@@ -518,7 +518,7 @@ func classify(tx *ledger.Tx, meta *ledger.TxMeta, removed map[addr.AccountID]boo
 		if !meta.Result.Succeeded() {
 			return item{}, false // the paper replays successfully delivered payments
 		}
-		if isDirectXRP(tx) {
+		if tx.IsDirectXRP() {
 			return item{}, false
 		}
 		row := &res.Single
@@ -763,11 +763,6 @@ func (ap *applier) markExecuted() {
 	for _, q := range plan.Quotes {
 		ap.dirtyPair[q.Pair] = struct{}{}
 	}
-}
-
-// isDirectXRP reports whether the payment is a plain XRP transfer.
-func isDirectXRP(tx *ledger.Tx) bool {
-	return tx.Amount.Currency.IsXRP() && (tx.SendMax.IsZero() || tx.SendMax.Currency.IsXRP())
 }
 
 // replayTx re-submits a historical transaction against the (diverged)

@@ -6,8 +6,9 @@ import (
 
 // fingerprintState is the mutable Figure 3 / Table I view: the
 // fingerprint count tables for the paper's ten resolution tuples,
-// maintained incrementally by a deanon.ShardedIncStudy — K single-writer
-// count shards routed by fingerprint high bits — so both the
+// maintained incrementally by a deanon.ShardedIncStudy — one
+// single-writer count shard per pipeline worker (rounded up to a power
+// of two), routed by fingerprint high bits — so both the
 // information-gain rows and individual sender-uniqueness lookups stay
 // O(1) at any point of the stream while increments scale with cores.
 //
@@ -25,7 +26,7 @@ type fingerprintState struct {
 	// count shard receives one coalesced batch per flush instead of
 	// contended per-record handoffs. nil at workers==1 (the study's
 	// single-producer path, including its inline 1-shard fast path).
-	feeders []*deanon.IncFeeder
+	feeders []*deanon.Feeder
 	rows    int
 	// lastSealPayments is the study size the previous seal covered;
 	// sealDue compares against it. Written only by the sealing
@@ -33,18 +34,19 @@ type fingerprintState struct {
 	lastSealPayments int
 }
 
-// newFingerprintState builds the view with the requested shard count
-// (rounded up to a power of two; <= 0 picks the machine default).
-func newFingerprintState(shards int) *fingerprintState {
-	bits := deanon.DefaultShardBits()
-	if shards > 0 {
-		bits = 0
-		for 1<<bits < shards {
-			bits++
+// newFingerprintState builds the view for the pipeline's worker count:
+// deanon.ShardBitsFor(workers) count shards and, at workers>1, one
+// feeder per apply worker.
+func newFingerprintState(workers int) *fingerprintState {
+	study := deanon.NewShardedIncStudy(deanon.Figure3Rows, deanon.ShardBitsFor(workers))
+	f := &fingerprintState{study: study, rows: len(deanon.Figure3Rows)}
+	if workers > 1 {
+		f.feeders = make([]*deanon.Feeder, workers)
+		for i := range f.feeders {
+			f.feeders[i] = study.Feeder()
 		}
 	}
-	study := deanon.NewShardedIncStudy(deanon.Figure3Rows, bits)
-	return &fingerprintState{study: study, rows: len(deanon.Figure3Rows)}
+	return f
 }
 
 // plan exposes the study's compiled fingerprint plan for the projection
@@ -53,13 +55,6 @@ func (f *fingerprintState) plan() *deanon.FingerprintPlan { return f.study.Plan(
 
 // shards reports the count-shard fan-out, for metrics.
 func (f *fingerprintState) shards() int { return f.study.Shards() }
-
-// attachFeeders switches the view to multi-producer intake, one feeder
-// per pipeline worker. Must run before any apply; it disables the
-// study's inline fast path.
-func (f *fingerprintState) attachFeeders(n int) {
-	f.feeders = f.study.Feeders(n)
-}
 
 // apply folds one projected page in: the record's fingerprint slab
 // holds rows fingerprints per payment, already in the study's row
@@ -99,14 +94,10 @@ func (f *fingerprintState) sealDue() bool {
 
 // snapshot seals the study as an immutable FingerprintSnapshot.
 // Copy-on-publish touches only the shards that changed since the last
-// seal; unchanged shards share their previous clones.
+// seal; unchanged shards share their previous clones. At workers>1 this
+// runs with every apply worker paused (seal barrier) or stopped
+// (shutdown), so the study's own barrier may flush their feeders.
 func (f *fingerprintState) snapshot(epoch, appliedSeq uint64) *FingerprintSnapshot {
-	// At workers>1 this runs with every apply worker paused (seal
-	// barrier) or stopped (shutdown), so flushing their feeders here is
-	// single-threaded by construction.
-	for _, fd := range f.feeders {
-		fd.Flush()
-	}
 	snap := f.study.Seal()
 	f.lastSealPayments = snap.Payments()
 	return &FingerprintSnapshot{

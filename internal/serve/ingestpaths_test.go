@@ -69,23 +69,29 @@ func checkEcosystemViewsEqual(t *testing.T, a, b *Service) {
 
 // TestShardedMatchesSingleWriterService pins the sharded fingerprint
 // view to the sequential single-writer baseline at the service level:
-// the same pages through FingerprintShards=8 and FingerprintShards=1
-// must produce bit-identical snapshots at mid-stream epochs and at the
-// end — the tentpole's core differential.
+// the same pages through PipelineWorkers=8 and PipelineWorkers=1 must
+// produce bit-identical snapshots at mid-stream epochs and at the end.
+// The count-shard fan-out follows the worker count, rounded up to a
+// power of two.
 func TestShardedMatchesSingleWriterService(t *testing.T) {
 	pages := genPages(t, 2000, 61)
 	feats := sampleFeatures(pages, 150)
 
-	sharded := NewService(Options{FingerprintShards: 8, PublishBatch: 16})
+	sharded := NewService(Options{PipelineWorkers: 8, PublishBatch: 16})
 	defer sharded.Close()
-	single := NewService(Options{FingerprintShards: 1, PublishBatch: 16})
+	single := NewService(Options{PipelineWorkers: 1, PublishBatch: 16})
 	defer single.Close()
 	if got := sharded.fpState.shards(); got != 8 {
-		t.Fatalf("sharded service runs %d shards, want 8", got)
+		t.Fatalf("8-worker service runs %d shards, want 8", got)
 	}
 	if got := single.fpState.shards(); got != 1 {
-		t.Fatalf("single service runs %d shards, want 1", got)
+		t.Fatalf("1-worker service runs %d shards, want 1", got)
 	}
+	odd := NewService(Options{PipelineWorkers: 3})
+	if got := odd.fpState.shards(); got != 4 {
+		t.Fatalf("3-worker service runs %d shards, want 4", got)
+	}
+	odd.Close()
 
 	cuts := []int{len(pages) / 3, 2 * len(pages) / 3, len(pages)}
 	prev := 0

@@ -39,16 +39,13 @@ type Options struct {
 	// paths (Backfill, BackfillStore, IngestPages) accumulate before
 	// flushing one batch to the view inboxes (default 64).
 	IngestBatchPages int
-	// FingerprintShards is the number of single-writer count shards
-	// behind the fingerprint view, rounded up to a power of two;
-	// 1 pins the sequential single-writer baseline. Default: the
-	// smallest power of two covering GOMAXPROCS.
-	FingerprintShards int
 	// PipelineWorkers is the apply fan-out of every view pipeline: each
 	// view keeps that many state shards, each owned by one goroutine fed
-	// over its own bounded ring, merged into one snapshot at seal.
-	// 1 pins the classic single-writer view (apply and publish on one
-	// goroutine, no barriers). Default: GOMAXPROCS, capped at 64.
+	// over its own bounded ring, merged into one snapshot at seal. The
+	// fingerprint view's count shards follow it, rounded up to a power
+	// of two. 1 pins the classic single-writer view (apply and publish
+	// on one goroutine, no barriers, one count shard). Default:
+	// GOMAXPROCS, capped at 64.
 	PipelineWorkers int
 	// NonBlocking switches ingest fan-out from backpressure (lossless;
 	// the differential-test configuration) to drop-on-full
@@ -168,10 +165,7 @@ func NewService(opts Options) *Service {
 		notify:  s.notifyProgress,
 	})
 
-	fp := newFingerprintState(opts.FingerprintShards)
-	if workers > 1 {
-		fp.attachFeeders(workers)
-	}
+	fp := newFingerprintState(workers)
 	s.fpState = fp
 	s.proj = newProjector(fp.plan())
 	s.fpW = newViewWorker(viewConfig{

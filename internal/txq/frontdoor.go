@@ -351,7 +351,7 @@ func (fd *FrontDoor) planBatch(batch []*queuedTx) {
 	idx := make(chan int, len(batch))
 	n := 0
 	for i, qt := range batch {
-		if qt.tx.Type != ledger.TxPayment || isDirectXRP(qt.tx) {
+		if qt.tx.Type != ledger.TxPayment || qt.tx.IsDirectXRP() {
 			continue
 		}
 		idx <- i
@@ -386,12 +386,6 @@ func (fd *FrontDoor) planBatch(batch []*queuedTx) {
 		}(fd.planners[w])
 	}
 	wg.Wait()
-}
-
-// isDirectXRP reports whether the payment is a plain XRP transfer (the
-// engine never consults the pathfinder for those).
-func isDirectXRP(tx *ledger.Tx) bool {
-	return tx.Amount.Currency.IsXRP() && (tx.SendMax.IsZero() || tx.SendMax.Currency.IsXRP())
 }
 
 // applyBatch commits the batch in queue order under the engine write

@@ -85,7 +85,7 @@ func TestFrontDoorDifferentialDigest(t *testing.T) {
 					continue
 				}
 			case ledger.TxPayment:
-				if !meta.Result.Succeeded() || isDirectXRP(tx) {
+				if !meta.Result.Succeeded() || tx.IsDirectXRP() {
 					continue
 				}
 				if removed[tx.Account] || removed[tx.Destination] {
